@@ -27,7 +27,8 @@ lint:
 lint-fixtures:
 	$(GO) test ./internal/lint -run 'Golden|IgnoreAudit|RunSorted|RunTimed|CallGraph|Summary|Analyze|SelectAnalyzers' -count=1
 
-# check is the full pre-merge gate: vet + build + the full analyzer
+# check is the full pre-merge gate: vet + build (native, and arm64 for the
+# portable kernel bodies) + the full analyzer
 # suite (interprocedural summaries included) + the race detector over the
 # concurrent planning, execution, observability, and storage layers, plus
 # the perf-regression gate against the committed baseline (noise-aware
@@ -35,6 +36,7 @@ lint-fixtures:
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) build ./...
 	$(GO) run ./cmd/nautilus-lint -analyzers= ./...
 	$(GO) test -race ./internal/exec/... ./internal/train/...
 	$(GO) test -race ./internal/core/...

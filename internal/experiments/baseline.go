@@ -205,6 +205,9 @@ func KernelsBaselineMetrics(r *KernelsResult) []BaselineMetric {
 		case "matmul_256":
 			ms = appendMetric(ms, "kernels.matmul_256_speedup", k.SpeedupVsSeed, true, 25)
 		}
+		if k.ReportOnly {
+			continue
+		}
 		if !haveMin || k.ParallelSpeedup < minPar {
 			minPar, haveMin = k.ParallelSpeedup, true
 		}

@@ -34,12 +34,20 @@ type KernelResult struct {
 	SeedNsOp      float64 `json:"seed_ns_op"`  // naive kernel, one worker
 	TunedNsOp     float64 `json:"tuned_ns_op"` // as dispatched
 	SpeedupVsSeed float64 `json:"speedup_vs_seed"`
+	// DefaultNsOp is the zero Schedule's time (the dispatch without a
+	// tuned table); it equals TunedNsOp unless the table supplied the
+	// schedule, in which case SpeedupVsDefault is what tuning bought.
+	DefaultNsOp      float64 `json:"default_ns_op"`
+	SpeedupVsDefault float64 `json:"speedup_vs_default"`
 	// ParallelSpeedup compares the dispatched schedule against the same
 	// schedule forced serial. Exactly 1.0 when the dispatch runs serially
 	// anyway (same code path, nothing to compare) — so any value below
 	// 1.0 means a schedule parallelized into a slowdown, which Kernels
 	// treats as an error.
 	ParallelSpeedup float64 `json:"parallel_speedup"`
+	// ReportOnly rows are measured and printed but neither hard-error on
+	// a parallel slowdown nor feed a baseline gate.
+	ReportOnly bool `json:"report_only,omitempty"`
 }
 
 // TrainHotPathResult compares full conv-model training epochs across the
@@ -85,6 +93,8 @@ type kernelCase struct {
 	chunkN int
 	work   int
 	fn     func()
+	// reportOnly marks shapes added for reporting, not gating.
+	reportOnly bool
 }
 
 // kernelCases builds the micro-benchmark suite: square, skinny, large,
@@ -119,6 +129,25 @@ func kernelCases() []kernelCase {
 				fn: func() { tensor.MatMulBT(a, bt) }},
 			kernelCase{name: "matmul_at_256", op: tensor.OpMatMulAT, dims: [3]int{m, k, n}, chunkN: m, work: m * k * n,
 				fn: func() { tensor.MatMulAT(at, b) }},
+		)
+	}
+	{
+		// FTR-3 transformer head: a 32→64 dense over 384 token rows
+		// forward (MatMul), its weight gradient (MatMulAT, k=384) and its
+		// input gradient (MatMulBT). Report-only: unbaselined, and a
+		// default dispatch that parallelizes for no gain is printed rather
+		// than failed.
+		rows, in, out := 384, 32, 64
+		x := tensor.RandNormal(rng, 1, rows, in)
+		dy := tensor.RandNormal(rng, 1, rows, out)
+		w := tensor.RandNormal(rng, 1, in, out)
+		cases = append(cases,
+			kernelCase{name: "matmul_head_384x32x64", op: tensor.OpMatMul, dims: [3]int{rows, in, out}, chunkN: rows, work: rows * in * out,
+				fn: func() { tensor.MatMul(x, w) }, reportOnly: true},
+			kernelCase{name: "matmul_at_head_384x32x64", op: tensor.OpMatMulAT, dims: [3]int{in, rows, out}, chunkN: in, work: in * rows * out,
+				fn: func() { tensor.MatMulAT(x, dy) }, reportOnly: true},
+			kernelCase{name: "matmul_bt_head_384x64x32", op: tensor.OpMatMulBT, dims: [3]int{rows, out, in}, chunkN: rows, work: rows * out * in,
+				fn: func() { tensor.MatMulBT(dy, w) }, reportOnly: true},
 		)
 	}
 
@@ -290,9 +319,12 @@ func Kernels(runs int) (*KernelsResult, error) {
 		tuned := timeKernel(kc.fn)
 		sch, fromTable := tensor.ScheduleFor(kc.op, kc.dims)
 		kr := KernelResult{
-			Name: kc.name, Op: string(kc.op), Schedule: sch.String(), Tuned: fromTable,
+			Name: kc.name, Op: string(kc.op), Schedule: sch.String(), Tuned: fromTable, ReportOnly: kc.reportOnly,
 			SeedNsOp: seed, TunedNsOp: tuned, SpeedupVsSeed: seed / tuned,
 			ParallelSpeedup: 1.0,
+		}
+		if fromTable {
+			kr.DefaultNsOp = timeKernelForced(kc.fn, tensor.Schedule{})
 		}
 		if tensor.WouldParallelize(sch, kc.chunkN, kc.work) {
 			serialSch := sch
@@ -306,11 +338,15 @@ func Kernels(runs int) (*KernelsResult, error) {
 				kr.SpeedupVsSeed = seed / tuned
 				kr.ParallelSpeedup = serialNs / tuned
 			}
-			if kr.ParallelSpeedup < 1.0 {
+			if kr.ParallelSpeedup < 1.0 && !kc.reportOnly {
 				return nil, fmt.Errorf("kernels: %s dispatches parallel schedule %q but runs %.2fx slower than its serial path — the tuned cutoff is wrong, re-tune (make tune)",
 					kc.name, sch.String(), 1/kr.ParallelSpeedup)
 			}
 		}
+		if !fromTable {
+			kr.DefaultNsOp = kr.TunedNsOp
+		}
+		kr.SpeedupVsDefault = kr.DefaultNsOp / kr.TunedNsOp
 		res.Kernels = append(res.Kernels, kr)
 	}
 
@@ -367,14 +403,17 @@ func Kernels(runs int) (*KernelsResult, error) {
 func PrintKernels(w io.Writer, r *KernelsResult) error {
 	p := &printer{w: w}
 	p.printf("Hot-path engine benchmarks (%d workers)\n", r.Workers)
-	p.printf("%-26s %-22s %12s %12s %9s %7s\n", "kernel", "schedule", "seed ns/op", "ns/op", "vs seed", "par")
+	p.printf("%-26s %-22s %12s %12s %12s %9s %9s %7s\n", "kernel", "schedule", "seed ns/op", "dflt ns/op", "ns/op", "vs seed", "vs dflt", "par")
 	for _, k := range r.Kernels {
 		src := ""
 		if k.Tuned {
 			src = " [tuned]"
 		}
-		p.printf("%-26s %-22s %12.0f %12.0f %8.2fx %6.2fx\n",
-			k.Name, k.Schedule+src, k.SeedNsOp, k.TunedNsOp, k.SpeedupVsSeed, k.ParallelSpeedup)
+		if k.ReportOnly {
+			src += " [report]"
+		}
+		p.printf("%-26s %-22s %12.0f %12.0f %12.0f %8.2fx %8.2fx %6.2fx\n",
+			k.Name, k.Schedule+src, k.SeedNsOp, k.DefaultNsOp, k.TunedNsOp, k.SpeedupVsSeed, k.SpeedupVsDefault, k.ParallelSpeedup)
 	}
 	t := r.Train
 	p.printf("\nconv-model training: %s, %d records, batch %d (%d steps/epoch)\n",

@@ -25,6 +25,36 @@ const (
 
 const geluC = 0.7978845608028654 // sqrt(2/pi)
 
+// GeLU and tanh run in float32 on tanh32, a rational approximation, so
+// unlike the matmul family they are not bit-identical to a float64
+// reference: |tanh32(x) − tanh(x)| ≤ 1e-6 on all of ℝ (measured ≈4e-7).
+
+// tanh32Clamp is where tanh32 saturates: beyond it tanh rounds to ±1 in
+// float32.
+const tanh32Clamp = 7.90531110763549805
+
+// tanh32 is the odd [13/6] rational approximation of tanh used by Eigen's
+// float kernels: x·P(x²)/Q(x²) with the input clamped to ±tanh32Clamp.
+// It is exactly odd, and NaN passes through.
+func tanh32(x float32) float32 {
+	if x > tanh32Clamp {
+		x = tanh32Clamp
+	} else if x < -tanh32Clamp {
+		x = -tanh32Clamp
+	}
+	x2 := x * x
+	p := x2*-2.76076847742355e-16 + 2.00018790482477e-13
+	p = x2*p + -8.60467152213735e-11
+	p = x2*p + 5.12229709037114e-08
+	p = x2*p + 1.48572235717979e-05
+	p = x2*p + 6.37261928875436e-04
+	p = x2*p + 4.89352455891786e-03
+	q := x2*1.19825839466702e-06 + 1.18534705686654e-04
+	q = x2*q + 2.26843463243900e-03
+	q = x2*q + 4.89352518554385e-03
+	return x * p / q
+}
+
 // applyActivation computes act(z) elementwise into a new tensor.
 func applyActivation(act string, z *tensor.Tensor) *tensor.Tensor {
 	if act == ActNone {
@@ -48,14 +78,14 @@ func applyActivation(act string, z *tensor.Tensor) *tensor.Tensor {
 	case ActGeLU:
 		tensor.Parallel(len(zd), work, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				x := float64(zd[i])
-				od[i] = float32(0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x))))
+				x := zd[i]
+				od[i] = 0.5 * x * (1 + tanh32(geluC*(x+0.044715*x*x*x)))
 			}
 		})
 	case ActTanh:
 		tensor.Parallel(len(zd), work, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				od[i] = float32(math.Tanh(float64(zd[i])))
+				od[i] = tanh32(zd[i])
 			}
 		})
 	case ActSigmoid:
@@ -93,19 +123,17 @@ func activationBackward(act string, z, g *tensor.Tensor) *tensor.Tensor {
 	case ActGeLU:
 		tensor.Parallel(len(zd), work, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				x := float64(zd[i])
-				u := geluC * (x + 0.044715*x*x*x)
-				th := math.Tanh(u)
+				x := zd[i]
+				th := tanh32(geluC * (x + 0.044715*x*x*x))
 				du := geluC * (1 + 3*0.044715*x*x)
-				d := 0.5*(1+th) + 0.5*x*(1-th*th)*du
-				od[i] = gd[i] * float32(d)
+				od[i] = gd[i] * (0.5*(1+th) + 0.5*x*(1-th*th)*du)
 			}
 		})
 	case ActTanh:
 		tensor.Parallel(len(zd), work, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				th := math.Tanh(float64(zd[i]))
-				od[i] = gd[i] * float32(1-th*th)
+				th := tanh32(zd[i])
+				od[i] = gd[i] * (1 - th*th)
 			}
 		})
 	case ActSigmoid:

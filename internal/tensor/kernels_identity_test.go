@@ -73,16 +73,114 @@ func TestMatMulFamilyBitIdentity(t *testing.T) {
 		b := fillMixed(rng, New(k, n))
 		bt := fillMixed(rng, New(n, k))
 		at := fillMixed(rng, New(k, m))
-		wantMM := MatMulNaive(a, b)
-		wantBT := MatMulBTNaive(a, bt)
-		wantAT := MatMulATNaive(at, b)
-		for _, sch := range matmulSchedules(rng, k) {
-			SetScheduleSource(testForce{sch})
-			assertBitsEqual(t, "MatMul "+sch.String(), MatMul(a, b), wantMM)
-			assertBitsEqual(t, "MatMulBT "+sch.String(), MatMulBT(a, bt), wantBT)
-			assertBitsEqual(t, "MatMulAT "+sch.String(), MatMulAT(at, b), wantAT)
-			SetScheduleSource(nil)
+		checkMatMulFamily(t, "mixed", a, b, bt, at, matmulSchedules(rng, k))
+	}
+}
+
+// fillDense fills a tensor with normals and no exact zeros, so every
+// 4-row block of a is zero-free and reaches the sgemm4x16 micro-kernel.
+func fillDense(rng *rand.Rand, x *Tensor) *Tensor {
+	d := x.Data()
+	for i := range d {
+		for d[i] == 0 {
+			d[i] = float32(rng.NormFloat64())
 		}
+	}
+	return x
+}
+
+// denseDims draws m, k, n in [1,300] with n >= 16 and not a multiple of
+// 16, so every sweep case runs full 16-column strips plus a saxpy4 tail.
+func denseDims(rng *rand.Rand) (m, k, n int) {
+	m, k, n = 1+rng.Intn(300), 1+rng.Intn(300), 16+rng.Intn(285)
+	if n%16 == 0 {
+		n++
+	}
+	return m, k, n
+}
+
+// denseSchedules are the sweep's legs: default dispatch, forced serial
+// with default and random panel depths, and forced parallel.
+func denseSchedules(rng *rand.Rand, k int) []Schedule {
+	return []Schedule{
+		{},
+		{Workers: 1},
+		{TileK: 1 + rng.Intn(k+4), Workers: 1},
+		{TileK: 1 + rng.Intn(k+4), Workers: 4, SerialBelow: 1},
+	}
+}
+
+// checkMatMulFamily compares all three matmul forms against their naive
+// references under every schedule.
+func checkMatMulFamily(t *testing.T, label string, a, b, bt, at *Tensor, schs []Schedule) {
+	t.Helper()
+	wantMM := MatMulNaive(a, b)
+	wantBT := MatMulBTNaive(a, bt)
+	wantAT := MatMulATNaive(at, b)
+	for _, sch := range schs {
+		SetScheduleSource(testForce{sch})
+		assertBitsEqual(t, label+" MatMul "+sch.String(), MatMul(a, b), wantMM)
+		assertBitsEqual(t, label+" MatMulBT "+sch.String(), MatMulBT(a, bt), wantBT)
+		assertBitsEqual(t, label+" MatMulAT "+sch.String(), MatMulAT(at, b), wantAT)
+		SetScheduleSource(nil)
+	}
+}
+
+// TestMatMulFamilyZeroFreeBitIdentity sweeps zero-free operands, which
+// fillMixed almost never produces for a whole 4-row block, so the
+// register-blocked micro-kernel carries every full block here.
+func TestMatMulFamilyZeroFreeBitIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	SetMaxWorkers(4)
+	t.Cleanup(func() {
+		SetMaxWorkers(0)
+		SetScheduleSource(nil)
+	})
+	for iter := 0; iter < 12; iter++ {
+		m, k, n := denseDims(rng)
+		a := fillDense(rng, New(m, k))
+		b := fillDense(rng, New(k, n))
+		bt := fillDense(rng, New(n, k))
+		at := fillDense(rng, New(k, m))
+		checkMatMulFamily(t, "dense", a, b, bt, at, denseSchedules(rng, k))
+	}
+}
+
+// TestMatMulFamilySpecialValues puts NaN and ±Inf in b and a single exact
+// zero in a, in the middle of a 4-row block and on a step whose b row
+// holds an Inf: that block must take the zero-skip path (0×Inf would be
+// NaN) while its neighbours stay on the micro-kernel.
+func TestMatMulFamilySpecialValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	SetMaxWorkers(4)
+	t.Cleanup(func() {
+		SetMaxWorkers(0)
+		SetScheduleSource(nil)
+	})
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for iter := 0; iter < 8; iter++ {
+		m, k, n := 8+rng.Intn(60), 2+rng.Intn(60), 16+rng.Intn(50)
+		a := fillDense(rng, New(m, k))
+		b := fillDense(rng, New(k, n))
+		bt := fillDense(rng, New(n, k))
+		at := fillDense(rng, New(k, m))
+		for s := 0; s < 3; s++ {
+			v := specials[rng.Intn(len(specials))]
+			b.Data()[rng.Intn(k)*n+rng.Intn(n)] = v
+			bt.Data()[rng.Intn(n)*k+rng.Intn(k)] = v
+		}
+		// Row 5 sits in the middle of the second 4-row block; step p of b
+		// (and column p of bt) gets an Inf where the zero meets it.
+		p := k / 2
+		zero := float32(0)
+		if iter%2 == 1 {
+			zero = float32(math.Copysign(0, -1))
+		}
+		a.Data()[5*k+p] = zero
+		at.Data()[p*m+5] = zero
+		b.Data()[p*n+rng.Intn(n)] = float32(math.Inf(1))
+		bt.Data()[rng.Intn(n)*k+p] = float32(math.Inf(-1))
+		checkMatMulFamily(t, "special", a, b, bt, at, denseSchedules(rng, k))
 	}
 }
 
@@ -185,5 +283,24 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 		assertBitsEqual(t, "saxpy4 row1", d1, w1)
 		assertBitsEqual(t, "saxpy4 row2", d2, w2)
 		assertBitsEqual(t, "saxpy4 row3", d3, w3)
+	}
+
+	// sgemm4x16: random leading dimensions and both a-stride layouts
+	// (MatMul's rows of a and MatMulAT's adjacent columns).
+	for iter := 0; iter < 50; iter++ {
+		k := 1 + rng.Intn(70)
+		ldc, ldb := 16+rng.Intn(20), 16+rng.Intn(20)
+		rs, ps := k, 1
+		if iter%2 == 1 {
+			rs, ps = 1, 4+rng.Intn(8)
+		}
+		c := fillMixed(rng, New(3*ldc+16))
+		a := fillMixed(rng, New(3*rs+(k-1)*ps+1))
+		b := fillMixed(rng, New((k-1)*ldb+16))
+		want := c.Clone()
+		sgemm4x16Generic(want.Data(), ldc, a.Data(), rs, ps, b.Data(), ldb, k)
+		got := c.Clone()
+		sgemm4x16(got.Data(), ldc, a.Data(), rs, ps, b.Data(), ldb, k)
+		assertBitsEqual(t, "sgemm4x16", got, want)
 	}
 }

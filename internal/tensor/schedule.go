@@ -37,8 +37,9 @@ type Schedule struct {
 	// schedule-parameterized kernel, "naive" forces the seed reference.
 	Kernel string `json:"kernel,omitempty"`
 	// TileM/TileN/TileK size the register/cache blocking; 0 means the
-	// kernel's default. MatMul family: TileM is the output-row block fed to
-	// the multi-row SIMD micro-kernel, TileK the packed/cached panel depth.
+	// kernel's default. MatMul family: a TileM below 4 forces the
+	// single-row saxpy path instead of 4-row micro-kernel blocks (MatMul
+	// and MatMulBT only), TileK is the packed/cached panel depth.
 	TileM int `json:"tile_m,omitempty"`
 	TileN int `json:"tile_n,omitempty"`
 	TileK int `json:"tile_k,omitempty"`
@@ -141,7 +142,9 @@ func ScheduleFor(op Op, dims [3]int) (Schedule, bool) {
 }
 
 // opStats accumulates dispatch counts and the last schedule fired for one
-// op. last is stored as a Schedule value under the mutex-free atomic.
+// op. last is stored as a Schedule value under the mutex-free atomic, and
+// only when it changes: each Store boxes the Schedule on the heap, and a
+// steady run dispatches the same schedule for every launch.
 type opStats struct {
 	tuned    atomic.Int64
 	fallback atomic.Int64
@@ -161,7 +164,9 @@ func recordDispatch(op Op, sch Schedule, tuned bool) {
 	} else {
 		st.fallback.Add(1)
 	}
-	st.last.Store(sch)
+	if last, ok := st.last.Load().(Schedule); !ok || last != sch {
+		st.last.Store(sch)
+	}
 }
 
 // OpDispatch is one op's dispatch statistics snapshot: how many kernel

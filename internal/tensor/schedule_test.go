@@ -98,3 +98,21 @@ func TestScheduleForMatchesDispatch(t *testing.T) {
 		t.Fatal("ScheduleFor reports a tuned hit with no source installed")
 	}
 }
+
+// TestRecordDispatchSteadyStateAllocs pins that a steady run of repeated
+// dispatches allocates nothing: last is stored only when it changes, and
+// DispatchSnapshot still reports the schedule that fired last.
+func TestRecordDispatchSteadyStateAllocs(t *testing.T) {
+	sch := Schedule{Kernel: "blocked", TileM: 4, TileK: 128, Workers: 2}
+	recordDispatch(OpRowwise, sch, true)
+	if allocs := testing.AllocsPerRun(200, func() { recordDispatch(OpRowwise, sch, true) }); allocs != 0 {
+		t.Fatalf("recordDispatch allocates %v per steady-state call, want 0", allocs)
+	}
+	other := Schedule{Workers: 1}
+	recordDispatch(OpRowwise, other, false)
+	for _, d := range DispatchSnapshot() {
+		if d.Op == OpRowwise && d.Last != other {
+			t.Fatalf("last dispatched schedule = %+v, want %+v", d.Last, other)
+		}
+	}
+}

@@ -28,3 +28,16 @@ func vaddGeneric(dst, x []float32) {
 		dst[i] += x[i]
 	}
 }
+
+func sgemm4x16Generic(c []float32, ldc int, a []float32, rs, ps int, b []float32, ldb, k int) {
+	for p := 0; p < k; p++ {
+		bp := b[p*ldb : p*ldb+16]
+		for r := 0; r < 4; r++ {
+			av := a[r*rs+p*ps]
+			cr := c[r*ldc : r*ldc+16]
+			for j := range cr {
+				cr[j] += av * bp[j]
+			}
+		}
+	}
+}

@@ -18,6 +18,9 @@ func saxpy4Asm(d0, d1, d2, d3, x *float32, n int, a0, a1, a2, a3 float32)
 //go:noescape
 func vaddAsm(dst, x *float32, n int)
 
+//go:noescape
+func sgemm4x16Asm(c *float32, ldc int, a *float32, rs, ps int, b *float32, ldb, k int)
+
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvAsm() (eax, edx uint32)
@@ -82,4 +85,21 @@ func vadd(dst, x []float32) {
 		return
 	}
 	vaddGeneric(dst, x)
+}
+
+// sgemm4x16 accumulates one 4-row × 16-column output tile over k
+// reduction steps: c[r*ldc+j] += a[r*rs+p*ps] * b[p*ldb+j] for p
+// ascending, one multiply then one add per term. The tile stays in
+// registers for the whole reduction. Callers pass zero-free coefficients
+// only (see gemmGroup); k must be positive.
+func sgemm4x16(c []float32, ldc int, a []float32, rs, ps int, b []float32, ldb, k int) {
+	// Bounds checks for the assembly's furthest reads and writes.
+	_ = c[3*ldc+15]
+	_ = a[3*rs+(k-1)*ps]
+	_ = b[(k-1)*ldb+15]
+	if hasAVX2 {
+		sgemm4x16Asm(&c[0], ldc, &a[0], rs, ps, &b[0], ldb, k)
+		return
+	}
+	sgemm4x16Generic(c, ldc, a, rs, ps, b, ldb, k)
 }

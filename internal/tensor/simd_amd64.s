@@ -134,6 +134,79 @@ done:
 	VZEROUPPER
 	RET
 
+// func sgemm4x16Asm(c *float32, ldc int, a *float32, rs, ps int, b *float32, ldb, k int)
+// Register-blocked 4x16 output tile: for p in [0,k), for r in [0,4),
+// c[r*ldc+j] += a[r*rs+p*ps] * b[p*ldb+j], j in [0,16). The tile lives in
+// Y0-Y7 for the whole reduction, so c is loaded and stored once per call.
+// Per term: VMULPS with the b row as first operand, then VADDPS with the
+// product as first operand, matching saxpy4Asm operand for operand.
+TEXT ·sgemm4x16Asm(SB), NOSPLIT, $0-64
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), R8
+	SHLQ $2, R8
+	MOVQ a+16(FP), SI
+	MOVQ rs+24(FP), DX
+	SHLQ $2, DX
+	MOVQ ps+32(FP), R9
+	SHLQ $2, R9
+	MOVQ b+40(FP), BX
+	MOVQ ldb+48(FP), R10
+	SHLQ $2, R10
+	MOVQ k+56(FP), CX
+	LEAQ (DX)(DX*2), R11
+	LEAQ (R8)(R8*2), R12
+
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS (DI)(R8*1), Y2
+	VMOVUPS 32(DI)(R8*1), Y3
+	VMOVUPS (DI)(R8*2), Y4
+	VMOVUPS 32(DI)(R8*2), Y5
+	VMOVUPS (DI)(R12*1), Y6
+	VMOVUPS 32(DI)(R12*1), Y7
+
+loop:
+	CMPQ         CX, $0
+	JLE          store
+	VMOVUPS      (BX), Y8
+	VMOVUPS      32(BX), Y9
+	VBROADCASTSS (SI), Y10
+	VMULPS       Y10, Y8, Y11
+	VMULPS       Y10, Y9, Y12
+	VADDPS       Y0, Y11, Y0
+	VADDPS       Y1, Y12, Y1
+	VBROADCASTSS (SI)(DX*1), Y13
+	VMULPS       Y13, Y8, Y14
+	VMULPS       Y13, Y9, Y11
+	VADDPS       Y2, Y14, Y2
+	VADDPS       Y3, Y11, Y3
+	VBROADCASTSS (SI)(DX*2), Y10
+	VMULPS       Y10, Y8, Y12
+	VMULPS       Y10, Y9, Y14
+	VADDPS       Y4, Y12, Y4
+	VADDPS       Y5, Y14, Y5
+	VBROADCASTSS (SI)(R11*1), Y13
+	VMULPS       Y13, Y8, Y11
+	VMULPS       Y13, Y9, Y12
+	VADDPS       Y6, Y11, Y6
+	VADDPS       Y7, Y12, Y7
+	ADDQ         R9, SI
+	ADDQ         R10, BX
+	DECQ         CX
+	JMP          loop
+
+store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(R8*1)
+	VMOVUPS Y3, 32(DI)(R8*1)
+	VMOVUPS Y4, (DI)(R8*2)
+	VMOVUPS Y5, 32(DI)(R8*2)
+	VMOVUPS Y6, (DI)(R12*1)
+	VMOVUPS Y7, 32(DI)(R12*1)
+	VZEROUPPER
+	RET
+
 // func vaddAsm(dst, x *float32, n int)
 // dst[0:n] += x[0:n], elementwise (independent lanes, no order change).
 TEXT ·vaddAsm(SB), NOSPLIT, $0-24

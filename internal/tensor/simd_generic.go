@@ -11,3 +11,7 @@ func saxpy4(d0, d1, d2, d3, x []float32, a0, a1, a2, a3 float32) {
 }
 
 func vadd(dst, x []float32) { vaddGeneric(dst, x) }
+
+func sgemm4x16(c []float32, ldc int, a []float32, rs, ps int, b []float32, ldb, k int) {
+	sgemm4x16Generic(c, ldc, a, rs, ps, b, ldb, k)
+}
