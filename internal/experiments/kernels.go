@@ -99,8 +99,9 @@ type kernelCase struct {
 
 // kernelCases builds the micro-benchmark suite: square, skinny, large,
 // and conv-lowered matmul shapes (forward plus both backward transpose
-// forms), the conv/pool family at the mini-ResNet block geometry, and the
-// elementwise/rowwise ops.
+// forms), the conv/pool family at the mini-ResNet block geometry, the
+// elementwise/rowwise ops, and report-only head and ReLU-sparse conv
+// matmul shapes.
 func kernelCases() []kernelCase {
 	rng := rand.New(rand.NewSource(42))
 	var cases []kernelCase
@@ -189,6 +190,32 @@ func kernelCases() []kernelCase {
 			dims: [3]int{2048, 64, 0}, chunkN: 2048, work: 2048 * 64 * 8,
 			fn: func() { tensor.SoftmaxRows(soft) }},
 	)
+	{
+		// FTU conv shapes on ReLU'd operands (about half of a is exact
+		// zeros, as after ReLU and im2col padding): the stem conv forward,
+		// a 3×3×16 conv forward and its weight gradient (MatMulAT, k=1024).
+		// Report-only, like the head rows.
+		relu := func(t *tensor.Tensor) *tensor.Tensor {
+			d := t.Data()
+			for i, v := range d {
+				d[i] = max(v, 0)
+			}
+			return t
+		}
+		stem := relu(tensor.RandNormal(rng, 1, 4096, 72))
+		stemW := tensor.RandNormal(rng, 1, 72, 8)
+		patches := relu(tensor.RandNormal(rng, 1, 1024, 144))
+		w := tensor.RandNormal(rng, 1, 144, 16)
+		dy := tensor.RandNormal(rng, 1, 1024, 16)
+		cases = append(cases,
+			kernelCase{name: "matmul_relu_1024x144x16", op: tensor.OpMatMul, dims: [3]int{1024, 144, 16}, chunkN: 1024, work: 1024 * 144 * 16,
+				fn: func() { tensor.MatMul(patches, w) }, reportOnly: true},
+			kernelCase{name: "matmul_at_relu_144x1024x16", op: tensor.OpMatMulAT, dims: [3]int{144, 1024, 16}, chunkN: 144, work: 144 * 1024 * 16,
+				fn: func() { tensor.MatMulAT(patches, dy) }, reportOnly: true},
+			kernelCase{name: "matmul_relu_4096x72x8", op: tensor.OpMatMul, dims: [3]int{4096, 72, 8}, chunkN: 4096, work: 4096 * 72 * 8,
+				fn: func() { tensor.MatMul(stem, stemW) }, reportOnly: true},
+		)
+	}
 	return cases
 }
 

@@ -55,6 +55,16 @@ func tanh32(x float32) float32 {
 	return x * p / q
 }
 
+// reluMask returns all ones when the float32 with bits u is > 0 (positive
+// subnormals through +Inf, bits 1..0x7f800000) and zero for ±0, negatives
+// and every NaN. ReLU applies it with an AND instead of branching on
+// z > 0, which mispredicts about half the time on real activations; the
+// output bits are the branch form's (the masked-off +0 is what the
+// zero-filled output held).
+func reluMask(u uint32) uint32 {
+	return uint32((int64(u-1) - 0x7f800000) >> 63)
+}
+
 // applyActivation computes act(z) elementwise into a new tensor.
 func applyActivation(act string, z *tensor.Tensor) *tensor.Tensor {
 	if act == ActNone {
@@ -70,9 +80,8 @@ func applyActivation(act string, z *tensor.Tensor) *tensor.Tensor {
 	case ActReLU:
 		tensor.Parallel(len(zd), work, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				if v := zd[i]; v > 0 {
-					od[i] = v
-				}
+				u := math.Float32bits(zd[i])
+				od[i] = math.Float32frombits(u & reluMask(u))
 			}
 		})
 	case ActGeLU:
@@ -115,9 +124,7 @@ func activationBackward(act string, z, g *tensor.Tensor) *tensor.Tensor {
 	case ActReLU:
 		tensor.Parallel(len(zd), work, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				if zd[i] > 0 {
-					od[i] = gd[i]
-				}
+				od[i] = math.Float32frombits(math.Float32bits(gd[i]) & reluMask(math.Float32bits(zd[i])))
 			}
 		})
 	case ActGeLU:

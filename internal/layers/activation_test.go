@@ -85,3 +85,49 @@ func TestGeLUMatchesFloat64(t *testing.T) {
 		}
 	}
 }
+
+// TestReLUBranchFreeBitIdentity compares the masked ReLU forward and
+// backward against the branch form (z > 0 keeps the value, everything
+// else leaves the output's +0) on a strided sweep of all 2^32 float32 bit
+// patterns plus the edge values: ±0, ±Inf, NaNs of either sign with
+// payloads, ± subnormals and ±MaxFloat32.
+func TestReLUBranchFreeBitIdentity(t *testing.T) {
+	const stride = 4093 // prime, so the sweep hits every exponent and low-bit mix
+	var zs []float32
+	for u := uint64(0); u < 1<<32; u += stride {
+		zs = append(zs, math.Float32frombits(uint32(u)))
+	}
+	for _, u := range []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x7f800000, 0xff800000, // ±Inf
+		0x7fc00000, 0xffc00000, 0x7f800001, 0xff800001, 0x7fc12345, 0xffbfffff, // NaNs
+		0x00000001, 0x80000001, 0x007fffff, 0x807fffff, // ± subnormals
+		0x00800000, 0x80800000, // ± smallest normals
+		0x7f7fffff, 0xff7fffff, // ±MaxFloat32
+	} {
+		zs = append(zs, math.Float32frombits(u))
+	}
+	// The upstream gradient cycles through values whose bits a wrong mask
+	// would visibly change, −0 and a NaN payload included.
+	gvals := []float32{1.5, -2.25, float32(math.Copysign(0, -1)), math.Float32frombits(0x7fc0beef), -3e-39, math.MaxFloat32}
+	gs := make([]float32, len(zs))
+	for i := range gs {
+		gs[i] = gvals[i%len(gvals)]
+	}
+	z := tensor.FromSlice(zs, len(zs))
+	g := tensor.FromSlice(gs, len(gs))
+	fwd := applyActivation(ActReLU, z).Data()
+	bwd := activationBackward(ActReLU, z, g).Data()
+	for i, v := range zs {
+		var wantF, wantB float32
+		if v > 0 {
+			wantF, wantB = v, gs[i]
+		}
+		if math.Float32bits(fwd[i]) != math.Float32bits(wantF) {
+			t.Fatalf("relu(%08x) = %08x, want %08x", math.Float32bits(v), math.Float32bits(fwd[i]), math.Float32bits(wantF))
+		}
+		if math.Float32bits(bwd[i]) != math.Float32bits(wantB) {
+			t.Fatalf("relu'(%08x)·%08x = %08x, want %08x", math.Float32bits(v), math.Float32bits(gs[i]), math.Float32bits(bwd[i]), math.Float32bits(wantB))
+		}
+	}
+}

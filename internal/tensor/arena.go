@@ -10,7 +10,8 @@ import (
 // across training steps. Every Get returns a zero-filled tensor, matching
 // New, so kernels that accumulate into or partially write their output
 // (MatMul, Im2Col padding, Col2Im scatter) work identically under either
-// strategy.
+// strategy. The fill is +0, never −0: the matmul kernels' bit-identity
+// with their naive references relies on it (see matmul_blocked.go).
 type Alloc interface {
 	// Get returns a zero-filled tensor of the given shape.
 	Get(shape ...int) *Tensor

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -39,6 +40,44 @@ func TestArenaGetZeroesRecycledBuffers(t *testing.T) {
 			t.Fatalf("recycled buffer not zeroed at %d: %v", i, v)
 		}
 	}
+}
+
+// TestArenaGetReturnsPositiveZero pins the fill's sign: a recycled buffer
+// that held −0 must come back as +0 bits, from the arena and from a scope.
+// The matmul kernels rely on it: they compute ±0-coefficient terms the
+// naive references skip, which is bit-identical only while no output
+// starts at −0.
+func TestArenaGetReturnsPositiveZero(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	a := NewArena()
+	dirty := func(x *Tensor) *float32 {
+		full := x.data[:cap(x.data)]
+		for i := range full {
+			full[i] = negZero
+		}
+		return &full[0]
+	}
+	check := func(name string, x *Tensor, buf *float32) {
+		t.Helper()
+		if &x.data[0] != buf {
+			t.Fatalf("%s: expected the recycled buffer", name)
+		}
+		for i, v := range x.data {
+			if math.Float32bits(v) != 0 {
+				t.Fatalf("%s: element %d has bits %08x, want +0", name, i, math.Float32bits(v))
+			}
+		}
+	}
+	t1 := a.Get(100)
+	buf := dirty(t1)
+	a.Put(t1)
+	check("Arena.Get", a.Get(128), buf)
+
+	s := a.Scope()
+	buf = dirty(s.Get(3, 70))
+	s.Release()
+	check("Scope.Get", s.Get(200), buf)
+	s.Release()
 }
 
 func TestArenaClassBounds(t *testing.T) {

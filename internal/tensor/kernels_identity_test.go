@@ -148,8 +148,9 @@ func TestMatMulFamilyZeroFreeBitIdentity(t *testing.T) {
 
 // TestMatMulFamilySpecialValues puts NaN and ±Inf in b and a single exact
 // zero in a, in the middle of a 4-row block and on a step whose b row
-// holds an Inf: that block must take the zero-skip path (0×Inf would be
-// NaN) while its neighbours stay on the micro-kernel.
+// holds an Inf: with a non-finite b the whole call (for MatMulBT, each
+// K-panel holding one) takes the zero-skip path, since the micro-kernel's
+// 0×Inf would be NaN.
 func TestMatMulFamilySpecialValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	SetMaxWorkers(4)
@@ -181,6 +182,106 @@ func TestMatMulFamilySpecialValues(t *testing.T) {
 		b.Data()[p*n+rng.Intn(n)] = float32(math.Inf(1))
 		bt.Data()[rng.Intn(n)*k+p] = float32(math.Inf(-1))
 		checkMatMulFamily(t, "special", a, b, bt, at, denseSchedules(rng, k))
+	}
+}
+
+// fillReLU fills a tensor like a ReLU output or its masked gradient: each
+// element is ±0 with probability 1/2, else a normal; then a few whole rows
+// and columns of the 2-D view are zeroed (dead units, empty batch rows).
+func fillReLU(rng *rand.Rand, x *Tensor) *Tensor {
+	d := x.Data()
+	for i := range d {
+		switch rng.Intn(4) {
+		case 0:
+			d[i] = 0
+		case 1:
+			d[i] = float32(math.Copysign(0, -1))
+		default:
+			d[i] = float32(rng.NormFloat64())
+		}
+	}
+	rows, cols := x.Rows(), x.Cols()
+	for z := 0; z < 2; z++ {
+		r, c := rng.Intn(rows), rng.Intn(cols)
+		clear(d[r*cols : (r+1)*cols])
+		for i := 0; i < rows; i++ {
+			d[i*cols+c] = 0
+		}
+	}
+	return x
+}
+
+// sparseNs are the sweep's output widths: tails of 8 and more columns
+// (sgemm4x8), tails under 8 (saxpy4), b rows read in place (n ≤ 64) and
+// packed (n > 64).
+var sparseNs = []int{8, 13, 16, 24, 31, 64, 72, 90, 130}
+
+// TestMatMulFamilySparseBitIdentity sweeps ReLU-sparse operands against a
+// finite b: nearly every 4-row block holds a ±0, and all of them now run
+// the micro-kernels, so each zero's term is computed where the references
+// skip it. The last leg takes a from im2col of a ReLU'd, zero-padded
+// input, the pattern conv layers feed MatMul and MatMulAT.
+func TestMatMulFamilySparseBitIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	SetMaxWorkers(4)
+	t.Cleanup(func() {
+		SetMaxWorkers(0)
+		SetScheduleSource(nil)
+	})
+	for iter, n := range sparseNs {
+		m, k := 1+rng.Intn(200), 1+rng.Intn(300)
+		a := fillReLU(rng, New(m, k))
+		b := fillMixed(rng, New(k, n))
+		bt := fillMixed(rng, New(n, k))
+		at := fillReLU(rng, New(k, m))
+		checkMatMulFamily(t, "sparse", a, b, bt, at, denseSchedules(rng, k))
+
+		g := ConvGeom{InH: 4 + iter, InW: 5, InC: 1 + iter%3, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+		x := fillReLU(rng, New(2, g.InH, g.InW, g.InC))
+		cols := Im2Col(x, g)
+		kc := cols.Cols()
+		w := fillMixed(rng, New(kc, n))
+		dy := fillReLU(rng, New(cols.Rows(), n))
+		// The conv forward, its input gradient and its weight gradient.
+		wantMM, wantBT, wantAT := MatMulNaive(cols, w), MatMulBTNaive(dy, w), MatMulATNaive(cols, dy)
+		for _, sch := range denseSchedules(rng, kc) {
+			SetScheduleSource(testForce{sch})
+			assertBitsEqual(t, "im2col MatMul "+sch.String(), MatMul(cols, w), wantMM)
+			assertBitsEqual(t, "im2col MatMulBT "+sch.String(), MatMulBT(dy, w), wantBT)
+			assertBitsEqual(t, "im2col MatMulAT "+sch.String(), MatMulAT(cols, dy), wantAT)
+			SetScheduleSource(nil)
+		}
+	}
+}
+
+// TestMatMulBTLatePanelSpecials puts NaN or ±Inf only in a late K-panel of
+// MatMulBT's b, under a ReLU-sparse a: the earlier panels run the
+// micro-kernels, the late one must take the zero-skip path.
+func TestMatMulBTLatePanelSpecials(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	SetMaxWorkers(4)
+	t.Cleanup(func() {
+		SetMaxWorkers(0)
+		SetScheduleSource(nil)
+	})
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for iter := 0; iter < 6; iter++ {
+		m, k, n := 8+rng.Intn(60), 300+rng.Intn(100), sparseNs[rng.Intn(len(sparseNs))]
+		a := fillReLU(rng, New(m, k))
+		bt := fillMixed(rng, New(n, k))
+		// Every row of a has a ±0 at p (column p is among the last 20), so
+		// each output element meets 0×special if the gate lets it through.
+		p := k - 1 - rng.Intn(20)
+		for i := 0; i < m; i++ {
+			a.Data()[i*k+p] = 0
+		}
+		bt.Data()[rng.Intn(n)*k+p] = specials[iter%len(specials)]
+		want := MatMulBTNaive(a, bt)
+		for _, sch := range []Schedule{{}, {TileK: 64, Workers: 1}, {TileK: 100, Workers: 4, SerialBelow: 1}} {
+			SetScheduleSource(testForce{sch})
+			assertBitsEqual(t, "late-panel MatMulBT "+sch.String(), MatMulBT(a, bt), want)
+			SetScheduleSource(nil)
+		}
 	}
 }
 
@@ -285,8 +386,8 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 		assertBitsEqual(t, "saxpy4 row3", d3, w3)
 	}
 
-	// sgemm4x16: random leading dimensions and both a-stride layouts
-	// (MatMul's rows of a and MatMulAT's adjacent columns).
+	// sgemm4x16 and sgemm4x8: random leading dimensions and both a-stride
+	// layouts (MatMul's rows of a and MatMulAT's adjacent columns).
 	for iter := 0; iter < 50; iter++ {
 		k := 1 + rng.Intn(70)
 		ldc, ldb := 16+rng.Intn(20), 16+rng.Intn(20)
@@ -302,5 +403,11 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 		got := c.Clone()
 		sgemm4x16(got.Data(), ldc, a.Data(), rs, ps, b.Data(), ldb, k)
 		assertBitsEqual(t, "sgemm4x16", got, want)
+
+		want8 := c.Clone()
+		sgemm4x8Generic(want8.Data(), ldc, a.Data(), rs, ps, b.Data(), ldb, k)
+		got8 := c.Clone()
+		sgemm4x8(got8.Data(), ldc, a.Data(), rs, ps, b.Data(), ldb, k)
+		assertBitsEqual(t, "sgemm4x8", got8, want8)
 	}
 }

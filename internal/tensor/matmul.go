@@ -7,11 +7,10 @@ import "fmt"
 // runs either the blocked SIMD variant (matmul_blocked.go) or the seed
 // scalar reference. Both are bit-identical: every output element
 // accumulates its terms in ascending p with one multiply then one add per
-// term, and terms with an exact-zero a-coefficient are skipped — the
-// sparsity fast path the seed MatMul had, now uniform across the family
-// (MatMulBT historically computed unskipped dot products; it shares the
-// skip semantics since the packed variant landed, so frozen-layer zero
-// gradients short-circuit in backward passes too).
+// term. The references skip terms with an exact-zero a-coefficient — the
+// sparsity fast path the seed MatMul had, uniform across the family; the
+// blocked variants compute those terms whenever b is finite, which changes
+// no bit (see matmul_blocked.go).
 
 // MatMul computes the matrix product of a's 2-D view [m,k] and b's 2-D view
 // [k,n], returning an [m,n] tensor.

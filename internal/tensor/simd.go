@@ -30,11 +30,20 @@ func vaddGeneric(dst, x []float32) {
 }
 
 func sgemm4x16Generic(c []float32, ldc int, a []float32, rs, ps int, b []float32, ldb, k int) {
+	sgemm4xWGeneric(16, c, ldc, a, rs, ps, b, ldb, k)
+}
+
+func sgemm4x8Generic(c []float32, ldc int, a []float32, rs, ps int, b []float32, ldb, k int) {
+	sgemm4xWGeneric(8, c, ldc, a, rs, ps, b, ldb, k)
+}
+
+// sgemm4xWGeneric is the scalar body of the 4-row × w-column micro-kernels.
+func sgemm4xWGeneric(w int, c []float32, ldc int, a []float32, rs, ps int, b []float32, ldb, k int) {
 	for p := 0; p < k; p++ {
-		bp := b[p*ldb : p*ldb+16]
+		bp := b[p*ldb : p*ldb+w]
 		for r := 0; r < 4; r++ {
 			av := a[r*rs+p*ps]
-			cr := c[r*ldc : r*ldc+16]
+			cr := c[r*ldc : r*ldc+w]
 			for j := range cr {
 				cr[j] += av * bp[j]
 			}

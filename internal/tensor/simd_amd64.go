@@ -21,6 +21,9 @@ func vaddAsm(dst, x *float32, n int)
 //go:noescape
 func sgemm4x16Asm(c *float32, ldc int, a *float32, rs, ps int, b *float32, ldb, k int)
 
+//go:noescape
+func sgemm4x8Asm(c *float32, ldc int, a *float32, rs, ps int, b *float32, ldb, k int)
+
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvAsm() (eax, edx uint32)
@@ -90,8 +93,9 @@ func vadd(dst, x []float32) {
 // sgemm4x16 accumulates one 4-row × 16-column output tile over k
 // reduction steps: c[r*ldc+j] += a[r*rs+p*ps] * b[p*ldb+j] for p
 // ascending, one multiply then one add per term. The tile stays in
-// registers for the whole reduction. Callers pass zero-free coefficients
-// only (see gemmGroup); k must be positive.
+// registers for the whole reduction. ±0 coefficients' terms are computed,
+// not skipped, so callers pass a finite b only (see gemmGroup); k must be
+// positive.
 func sgemm4x16(c []float32, ldc int, a []float32, rs, ps int, b []float32, ldb, k int) {
 	// Bounds checks for the assembly's furthest reads and writes.
 	_ = c[3*ldc+15]
@@ -102,4 +106,18 @@ func sgemm4x16(c []float32, ldc int, a []float32, rs, ps int, b []float32, ldb, 
 		return
 	}
 	sgemm4x16Generic(c, ldc, a, rs, ps, b, ldb, k)
+}
+
+// sgemm4x8 is sgemm4x16 for a 4-row × 8-column tile, with the same
+// operation order and the same finite-b contract.
+func sgemm4x8(c []float32, ldc int, a []float32, rs, ps int, b []float32, ldb, k int) {
+	// Bounds checks for the assembly's furthest reads and writes.
+	_ = c[3*ldc+7]
+	_ = a[3*rs+(k-1)*ps]
+	_ = b[(k-1)*ldb+7]
+	if hasAVX2 {
+		sgemm4x8Asm(&c[0], ldc, &a[0], rs, ps, &b[0], ldb, k)
+		return
+	}
+	sgemm4x8Generic(c, ldc, a, rs, ps, b, ldb, k)
 }

@@ -207,6 +207,59 @@ store:
 	VZEROUPPER
 	RET
 
+// func sgemm4x8Asm(c *float32, ldc int, a *float32, rs, ps int, b *float32, ldb, k int)
+// sgemm4x16Asm for a 4x8 tile: the tile lives in Y0-Y3, one YMM per row,
+// with the same operand order per term.
+TEXT ·sgemm4x8Asm(SB), NOSPLIT, $0-64
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), R8
+	SHLQ $2, R8
+	MOVQ a+16(FP), SI
+	MOVQ rs+24(FP), DX
+	SHLQ $2, DX
+	MOVQ ps+32(FP), R9
+	SHLQ $2, R9
+	MOVQ b+40(FP), BX
+	MOVQ ldb+48(FP), R10
+	SHLQ $2, R10
+	MOVQ k+56(FP), CX
+	LEAQ (DX)(DX*2), R11
+	LEAQ (R8)(R8*2), R12
+
+	VMOVUPS (DI), Y0
+	VMOVUPS (DI)(R8*1), Y1
+	VMOVUPS (DI)(R8*2), Y2
+	VMOVUPS (DI)(R12*1), Y3
+
+loop:
+	CMPQ         CX, $0
+	JLE          store
+	VMOVUPS      (BX), Y8
+	VBROADCASTSS (SI), Y10
+	VBROADCASTSS (SI)(DX*1), Y11
+	VBROADCASTSS (SI)(DX*2), Y12
+	VBROADCASTSS (SI)(R11*1), Y13
+	VMULPS       Y10, Y8, Y10
+	VMULPS       Y11, Y8, Y11
+	VMULPS       Y12, Y8, Y12
+	VMULPS       Y13, Y8, Y13
+	VADDPS       Y0, Y10, Y0
+	VADDPS       Y1, Y11, Y1
+	VADDPS       Y2, Y12, Y2
+	VADDPS       Y3, Y13, Y3
+	ADDQ         R9, SI
+	ADDQ         R10, BX
+	DECQ         CX
+	JMP          loop
+
+store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (DI)(R8*1)
+	VMOVUPS Y2, (DI)(R8*2)
+	VMOVUPS Y3, (DI)(R12*1)
+	VZEROUPPER
+	RET
+
 // func vaddAsm(dst, x *float32, n int)
 // dst[0:n] += x[0:n], elementwise (independent lanes, no order change).
 TEXT ·vaddAsm(SB), NOSPLIT, $0-24

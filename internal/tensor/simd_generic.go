@@ -15,3 +15,7 @@ func vadd(dst, x []float32) { vaddGeneric(dst, x) }
 func sgemm4x16(c []float32, ldc int, a []float32, rs, ps int, b []float32, ldb, k int) {
 	sgemm4x16Generic(c, ldc, a, rs, ps, b, ldb, k)
 }
+
+func sgemm4x8(c []float32, ldc int, a []float32, rs, ps int, b []float32, ldb, k int) {
+	sgemm4x8Generic(c, ldc, a, rs, ps, b, ldb, k)
+}
